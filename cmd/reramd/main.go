@@ -43,8 +43,6 @@ func run() int {
 		accesses = flag.Int("accesses", 20000, "memory accesses simulated per core")
 		jobsFlag = flag.Int("jobs", 0, "max parallel solves (0 = GOMAXPROCS)")
 
-		solverFlag = flag.String("solver", "exact", "default cold RESET-op pricing for requests that name none: exact (reference), batched (bit-identical SoA batch solves) or surrogate (calibrated table, bounded error)")
-
 		checkpointRoot = flag.String("checkpoint-root", "", "journal each sweep under <root>/<digest>/ (crash-safe; identical re-requested sweeps resume)")
 		cellTimeout    = flag.Duration("cell-timeout", 0, "per-cell deadline inside a sweep (0 = none); an exceeded cell is quarantined, not fatal")
 		solveCacheDir  = flag.String("solve-cache", "", "directory for the persistent solve cache (default: disabled)")
@@ -67,15 +65,9 @@ func run() int {
 
 		obsAddr    = flag.String("obs-addr", "", "serve the standalone telemetry plane (/metrics, /progress, /debug/pprof/) on this extra address; the API port always serves /metrics itself")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
-		pprofAddr  = flag.String("pprof", "", "deprecated alias for -obs-addr")
 	)
 	flag.Parse()
 
-	resolved, err := telemetry.ResolvePprofAlias("reramd", *obsAddr, *pprofAddr, os.Stderr)
-	if err != nil {
-		return fail(err)
-	}
-	*obsAddr = resolved
 	if *auditFrac < 0 || *auditFrac > 1 {
 		return fail(fmt.Errorf("-audit-fraction %g outside [0,1]", *auditFrac))
 	}
@@ -110,11 +102,6 @@ func run() int {
 	suite, err := experiments.NewSuite(*accesses)
 	if err != nil {
 		return fail(fmt.Errorf("calibration: %w", err))
-	}
-
-	defaultSolver, err := core.ParseSolverMode(*solverFlag)
-	if err != nil {
-		return fail(err)
 	}
 
 	// The distributed plane is opt-in: -workers (or an explicit
@@ -156,7 +143,6 @@ func run() int {
 			Suite:          suite,
 			CheckpointRoot: *checkpointRoot,
 			CellTimeout:    *cellTimeout,
-			DefaultSolver:  defaultSolver,
 			Dist:           coord,
 		},
 		Admission: serve.AdmissionConfig{

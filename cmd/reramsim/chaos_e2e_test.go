@@ -3,19 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"reramsim/internal/jobs"
 )
 
 // chaosPlanArg is the seeded fault plan both chaos e2e tests run under.
-// ENOSPC episodes are deliberately absent: the first atomicio write in a
-// coordinator process is the journal manifest at startup, so a disk-full
-// episode there aborts the run before any cell executes — that fault is
-// exercised where it can land mid-sweep (the internal/chaos fleet test
-// and the atomicio unit tests).
-const chaosPlanArg = "seed=7,latency=5ms,latency-p=0.2,drop=0.05,reset=0.05,truncate=0.05,flip=0.05"
+const chaosPlanArg = "seed=7,latency=5ms,latency-p=0.2,drop=0.05,reset=0.05,truncate=0.05,flip=0.05,enospc=1"
 
 // splitMetricsDoc splits a "-json -metrics -metrics-format json" stdout
 // into the sweep document and the trailing metrics snapshot.
@@ -41,6 +41,11 @@ func splitMetricsDoc(t *testing.T, stdout []byte) (sweep []byte, counters map[st
 // clean single-process run — and the dist.* counters must show the
 // corrupt segments were refused and the offender's health score fell
 // through demotion into a ban.
+//
+// The corrupting worker (the vandal) joins alone, and the clean workers
+// start only once the coordinator's /progress shows the vandal's
+// segments refused and the vandal banned. Otherwise the clean workers
+// could drain the 4-cell grid before the vandal ever held a lease.
 func TestChaosDistByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI six times under fault injection")
@@ -59,15 +64,17 @@ func TestChaosDistByteIdentity(t *testing.T) {
 		"-checkpoint-dir", ckpt,
 		"-chaos", chaosPlanArg,
 		"-metrics", "-metrics-format", "json",
+		"-obs-addr", "localhost:0",
 	)
-	for i := 0; i < 3; i++ {
-		startWorkerProc(t, bin, addr, "RERAM_CHAOS="+chaosPlanArg)
-	}
 	// The vandal: every segment it ships has a byte flipped in transit.
 	startWorkerProc(t, bin, addr,
 		"RERAM_CHAOS="+chaosPlanArg,
 		"RERAMSIM_DIST_CORRUPT_CELL=*",
 	)
+	waitVandalBanned(t, obsAddrOf(t, stderr), stderr)
+	for i := 0; i < 3; i++ {
+		startWorkerProc(t, bin, addr, "RERAM_CHAOS="+chaosPlanArg)
+	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("coordinator exit: %v\nstderr:\n%s", err, stderr.String())
 	}
@@ -88,6 +95,48 @@ func TestChaosDistByteIdentity(t *testing.T) {
 	if counters["dist.health.bans"] == 0 {
 		t.Errorf("dist.health.bans = 0; the corrupt worker was never banned\ncounters: %v", counters)
 	}
+}
+
+// obsAddrOf returns the telemetry address the coordinator announced on
+// stderr.
+func obsAddrOf(t *testing.T, stderr *syncBuffer) string {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if m := listenLineRe.FindStringSubmatch(stderr.String()); m != nil {
+			return m[1]
+		}
+	}
+	t.Fatalf("coordinator never announced its telemetry address; stderr:\n%s", stderr.String())
+	return ""
+}
+
+// waitVandalBanned polls the coordinator's /progress until the only
+// joined worker — the vandal — has had a segment refused and been
+// banned. Alone, it cannot complete a cell, so its score only falls.
+func waitVandalBanned(t *testing.T, obsAddr string, stderr *syncBuffer) {
+	t.Helper()
+	var last []byte
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get("http://" + obsAddr + "/progress")
+		if err != nil {
+			t.Fatalf("GET /progress: %v", err)
+		}
+		last, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			continue // 404 until the sweep's engine is attached
+		}
+		var p jobs.Progress
+		if err := json.Unmarshal(last, &p); err != nil {
+			t.Fatalf("decoding /progress: %v\n%s", err, last)
+		}
+		for _, h := range p.Health {
+			if h.Rejects > 0 && h.State == "banned" {
+				return
+			}
+		}
+	}
+	t.Fatalf("the vandal was never banned; last /progress:\n%s\nstderr:\n%s", last, stderr.String())
 }
 
 // TestChaosAuditDivergence: with -audit-fraction=1.0 every completed

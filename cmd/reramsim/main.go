@@ -23,7 +23,6 @@
 // telemetry plane (/metrics, /healthz, /readyz, /progress and
 // /debug/pprof/ on one address with graceful shutdown), and -trace-spans
 // records hierarchical spans as a Chrome trace-event file for Perfetto.
-// -pprof is a deprecated alias for -obs-addr.
 package main
 
 import (
@@ -73,8 +72,6 @@ func main() {
 
 		jobsFlag = flag.Int("jobs", 0, "max parallel simulations/solves (0 = GOMAXPROCS); output is identical at any setting")
 
-		solverFlag = flag.String("solver", "exact", "cold RESET-op pricing: exact (reference), batched (bit-identical SoA batch solves) or surrogate (calibrated table, bounded error)")
-
 		coordinator = flag.String("coordinator", "", "run the sweep as a distributed coordinator on this address (e.g. localhost:0), leasing cells to -worker processes; output is identical to a local run")
 		auditFrac   = flag.Float64("audit-fraction", 0, "coordinator: fraction of completed cells re-leased to a second worker for digest cross-checks (0 = off, 1 = every cell); divergence quarantines the cell and flags both workers")
 		chaosPlan   = flag.String("chaos", os.Getenv("RERAM_CHAOS"), "seeded fault-injection plan for chaos testing, e.g. seed=42,latency=20ms,drop=0.1,flip=0.05,enospc=1 (default $RERAM_CHAOS; results must stay byte-identical)")
@@ -94,7 +91,6 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write structured trace events as JSONL to this file")
 		obsAddr    = flag.String("obs-addr", "", "serve live telemetry (/metrics, /healthz, /readyz, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
 		traceSpans = flag.String("trace-spans", "", "write hierarchical spans as a Chrome trace-event file (load in ui.perfetto.dev)")
-		pprofAddr  = flag.String("pprof", "", "deprecated alias for -obs-addr")
 	)
 	flag.Parse()
 
@@ -144,11 +140,6 @@ func main() {
 		chaos.Install(plan)
 		fmt.Fprintf(os.Stderr, "reramsim: chaos plan installed: %s\n", plan)
 	}
-	resolved, err := telemetry.ResolvePprofAlias("reramsim", *obsAddr, *pprofAddr, os.Stderr)
-	if err != nil {
-		fail(err)
-	}
-	*obsAddr = resolved
 
 	par.SetJobs(*jobsFlag)
 	if *solveCacheDir != "" {
@@ -221,13 +212,6 @@ func main() {
 	suite.MemCfg.FaultProfile = *faultProfile
 	suite.MemCfg.FaultSeed = *faultSeed
 	suite.MemCfg.MaxWriteRetries = *maxRetries
-	// After the MemCfg edits: the solver sub-suite snapshots the memory
-	// config at creation (it still follows the parent's context live).
-	solverMode, err := core.ParseSolverMode(*solverFlag)
-	if err != nil {
-		fail(err)
-	}
-	suite = suite.ForSolver(solverMode)
 	stack.SetReady(true) // suite calibrated: work can be admitted
 
 	if len(schemes) > 1 || len(workloads) > 1 || *checkpointDir != "" || *resumeDir != "" || *coordinator != "" {

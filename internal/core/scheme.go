@@ -10,7 +10,6 @@ import (
 	"reramsim/internal/obs"
 	"reramsim/internal/par"
 	"reramsim/internal/solvecache"
-	"reramsim/internal/surrogate"
 	"reramsim/internal/write"
 	"reramsim/internal/xpoint"
 )
@@ -74,19 +73,10 @@ type Scheme struct {
 
 	// Persistent solve cache (nil when disabled). Captured from the
 	// process-wide handle at construction; memoKey addresses this
-	// scheme's memo dump ("" disables flushing) and flushMu serialises
-	// its rewrites.
-	cache         *solvecache.Cache
-	memoKey       string
-	persistDigest string
-	flushMu       sync.Mutex
-
-	// Solver mode state (EnableSolver). The zero value is SolverExact:
-	// every cold op prices through its own SimulateReset, the Tier-1
-	// reference behavior.
-	solver SolverMode
-	bat    *opBatcher
-	sur    *surrogate.Table
+	// scheme's memo dump and flushMu serialises its rewrites.
+	cache   *solvecache.Cache
+	memoKey string
+	flushMu sync.Mutex
 }
 
 // memoShards is the number of independent memo partitions (power of two).
@@ -237,8 +227,7 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		// the options digest; a warm directory seeds the whole cost table
 		// here, so a repeat sweep prices every op without touching the
 		// array solver.
-		s.persistDigest = memoDigest(optDigest, levels)
-		s.memoKey = "memo-" + s.persistDigest
+		s.memoKey = "memo-" + memoDigest(optDigest, levels)
 		if payload, ok := cache.Get(s.memoKey); ok {
 			s.preloadMemo(payload)
 		}
@@ -456,7 +445,7 @@ func (s *Scheme) opCost(k opKey) (opCost, error) {
 		if ok {
 			return c, nil
 		}
-		c, err := s.priceOp(k)
+		c, err := s.solveOp(k)
 		if err != nil {
 			return opCost{}, err
 		}
@@ -490,12 +479,12 @@ func canonicalMask(m uint8) uint8 {
 	return out
 }
 
-// opForKey builds the representative (pessimistic) operation of key k:
-// the bucket's worst row and mux offset, with the mask's bits at their
-// escalated calibrated levels.
-func (s *Scheme) opForKey(k opKey) xpoint.ResetOp {
+// solveOp runs the array model for the representative operation of key k.
+func (s *Scheme) solveOp(k opKey) (opCost, error) {
+	defer obs.SpanScope("core.solve_op")()
 	cfg := s.arr.Config()
 	muxW := cfg.MuxWidth()
+	// Representative (pessimistic) row and offset of the bucket.
 	sections := s.levels.Sections
 	row := int(k.section)*cfg.Size/sections + cfg.Size/sections - 1
 	offset := (int(k.offB)+1)*muxW/offsetBuckets - 1
@@ -509,14 +498,14 @@ func (s *Scheme) opForKey(k opKey) xpoint.ResetOp {
 		cols = append(cols, cfg.ColumnOfBit(b, offset))
 		volts = append(volts, s.levels.Escalated(int(k.section), b, int(k.esc), EscalationStep, EscalationCap))
 	}
-	return xpoint.ResetOp{Row: row, Cols: cols, Volts: volts}
-}
+	res, err := s.arr.SimulateReset(xpoint.ResetOp{Row: row, Cols: cols, Volts: volts})
+	if err != nil {
+		return opCost{}, err
+	}
 
-// costFromResult prices a solved representative op.
-func (s *Scheme) costFromResult(volts []float64, res *xpoint.ResetResult) opCost {
 	// Cell-side energy: each cell integrates its own current over its own
 	// completion time; the sneak surplus burns for the whole op.
-	p := s.arr.Config().Params
+	p := cfg.Params
 	energy := 0.0
 	sumCell := 0.0
 	for i, v := range res.Veff {
@@ -552,18 +541,7 @@ func (s *Scheme) costFromResult(volts []float64, res *xpoint.ResetResult) opCost
 		itotal:  res.Itotal,
 		vmin:    res.MinVeff(),
 		failed:  res.Failed,
-	}
-}
-
-// solveOp runs the array model for the representative operation of key k.
-func (s *Scheme) solveOp(k opKey) (opCost, error) {
-	defer obs.SpanScope("core.solve_op")()
-	op := s.opForKey(k)
-	res, err := s.arr.SimulateReset(op)
-	if err != nil {
-		return opCost{}, err
-	}
-	return s.costFromResult(op.Volts, res), nil
+	}, nil
 }
 
 // MemoSize reports how many distinct operations the cost table holds

@@ -237,3 +237,25 @@ func TestGridDigestPinsConfig(t *testing.T) {
 		t.Errorf("digest with heartbeat hook: %q (err %v), want %q", d, err, da)
 	}
 }
+
+// TestGridDigestGolden pins the digest of one concrete sweep — the
+// default calibrated suite at 1200 accesses over the 3x4 grid the
+// repository benchmark runs — across releases, so journals written by
+// an earlier build keep resuming. A change to the calibrated array or
+// memory config legitimately moves it; any other failure means the
+// digest document changed without a gridDigestVersion bump.
+func TestGridDigestGolden(t *testing.T) {
+	s, err := NewSuite(1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := crossPairs([]string{"Base", "Hard+Sys", "UDRVR+PR"}, []string{"ast_m", "mcf_m", "mil_m", "zeu_m"})
+	got, err := s.GridDigest(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "grid-v1-f736c173a31bc40320878f5514912da3f9b80a19fa03d786e945337fee4c6d08"
+	if got != want {
+		t.Errorf("grid digest = %s, want %s", got, want)
+	}
+}

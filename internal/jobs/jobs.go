@@ -184,6 +184,12 @@ type Engine struct {
 	prog progressTracker
 }
 
+// manifestRetries bounds the re-attempts of the journal's manifest
+// write. It is fixed rather than MaxRetries: a manifest that cannot be
+// written fails the whole run, not one cell, so it keeps the default
+// retry budget even where per-cell retries are off (MaxRetries 0).
+const manifestRetries = 3
+
 // Open prepares an engine. With a Dir it creates the directory, then
 // either replays a matching journal (Resume) or cold-starts — removing
 // stale segments and writing a fresh manifest. Every durable failure
@@ -214,12 +220,21 @@ func Open(opts Options) (*Engine, error) {
 		}
 		obsColdStarts.Inc()
 	}
-	j, err := initJournal(opts.Dir, opts.Digest)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: init journal: %w", err)
+	// The manifest write is the journal's first fsync. A transient disk
+	// failure there (ENOSPC) backs off under the policy a failed segment
+	// write retries with, instead of aborting the run at startup.
+	for attempt := 0; ; attempt++ {
+		j, err := initJournal(opts.Dir, opts.Digest)
+		if err == nil {
+			e.j = j
+			return e, nil
+		}
+		if attempt >= manifestRetries || !IsTransient(err) {
+			return nil, fmt.Errorf("jobs: init journal: %w", err)
+		}
+		obsRetried.Inc()
+		opts.sleep(context.Background(), backoffDelay(opts, manifestName, attempt))
 	}
-	e.j = j
-	return e, nil
 }
 
 // Resumed returns the journaled payload for key, if the engine loaded

@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"reramsim/internal/atomicio"
 	"reramsim/internal/par"
 )
 
@@ -401,4 +403,39 @@ func par1(t *testing.T) {
 	t.Helper()
 	par.SetJobs(1)
 	t.Cleanup(func() { par.SetJobs(0) })
+}
+
+// TestManifestDiskFullRetried: a disk-full fsync on the journal's first
+// write (the manifest) backs off and retries instead of aborting Open,
+// even with per-cell retries off (MaxRetries 0, the CLIs' setting); a
+// disk that stays full still fails Open, with the typed disk-full error,
+// once the retries are spent.
+func TestManifestDiskFullRetried(t *testing.T) {
+	var fails atomic.Int64
+	prev := atomicio.SetHook(func(dest, stage string) error {
+		if stage == atomicio.StageSync && filepath.Base(dest) == manifestName && fails.Add(-1) >= 0 {
+			return syscall.ENOSPC
+		}
+		return nil
+	})
+	defer atomicio.SetHook(prev)
+
+	var slept []time.Duration
+	sleep := func(ctx context.Context, d time.Duration) { slept = append(slept, d) }
+	fails.Store(2)
+	e := mustOpen(t, Options{Dir: t.TempDir(), Digest: "d", sleep: sleep})
+	if e.j == nil || len(slept) != 2 {
+		t.Fatalf("journal %v after %d backoff sleeps; want a journal after 2", e.j, len(slept))
+	}
+	rep, err := e.Run(context.Background(), grid(2))
+	if err != nil || !rep.Complete() {
+		t.Fatalf("run after retried manifest: %+v, %v", rep, err)
+	}
+
+	fails.Store(1 << 30)
+	slept = nil
+	_, err = Open(Options{Dir: t.TempDir(), Digest: "d", sleep: sleep})
+	if err == nil || !atomicio.IsDiskFull(err) || len(slept) != manifestRetries {
+		t.Fatalf("Open on a full disk: %v after %d sleeps; want a typed disk-full error after %d", err, len(slept), manifestRetries)
+	}
 }

@@ -259,7 +259,7 @@ func initJournal(dir, digest string) (*journal, error) {
 		return nil, err
 	}
 	if err := atomicio.WriteFileSync(dir, manifestName, blob, 0o644); err != nil {
-		return nil, err
+		return nil, Transient(err) // retried by Open, like a segment write
 	}
 	return &journal{dir: dir, nextSeg: 1}, nil
 }

@@ -8,7 +8,7 @@
 // one atomic flag and performs no allocation, so instrumented hot paths
 // (line-write pricing, the discrete-event loop) run at seed speed when
 // observability is off. Enable it with SetEnabled(true) — cmd/reramsim
-// does this when -metrics, -trace-out or -pprof is given.
+// does this when -metrics, -trace-out or -obs-addr is given.
 //
 // Metric names follow the layer.subsystem.name convention, e.g.
 // "core.reset.section.3" or "memsys.read.latency_ns". Histogram names

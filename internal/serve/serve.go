@@ -394,10 +394,20 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 type solveRequest struct {
 	Scheme   string `json:"scheme"`
 	Workload string `json:"workload"`
-	// Solver selects the cold-op pricing mode (exact, batched or
-	// surrogate); empty uses the backend default.
+	// Solver names the cold-op pricing mode: "" or "exact", the only
+	// one (see checkSolver).
 	Solver     string `json:"solver,omitempty"`
 	DeadlineMs int64  `json:"deadline_ms,omitempty"`
+}
+
+// checkSolver vets a request's solver field. Exact pricing is the only
+// mode left; the field still accepts "" and "exact" so existing clients
+// keep working, and names the removal for anything else.
+func checkSolver(solver string) error {
+	if solver == "" || solver == "exact" {
+		return nil
+	}
+	return fmt.Errorf("solver mode %q was removed: exact pricing is the only mode (send \"exact\" or omit the field)", solver)
 }
 
 type solveResponse struct {
@@ -409,6 +419,10 @@ type solveResponse struct {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
 	if !decodeJSON(w, r, &req) {
+		return
+	}
+	if err := checkSolver(req.Solver); err != nil {
+		writeError(w, http.StatusBadRequest, 0, "%v", err)
 		return
 	}
 	if err := s.opts.Backend.Validate(req.Scheme, req.Workload, req.Solver); err != nil {
@@ -439,9 +453,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 type sweepRequest struct {
 	Schemes   []string `json:"schemes"`
 	Workloads []string `json:"workloads"`
-	// Solver selects the cold-op pricing mode (exact, batched or
-	// surrogate); empty uses the backend default. Part of the sweep's
-	// digest, so different modes never share a job or its checkpoints.
+	// Solver names the cold-op pricing mode: "" or "exact", the only
+	// one (see checkSolver).
 	Solver     string `json:"solver,omitempty"`
 	DeadlineMs int64  `json:"deadline_ms,omitempty"`
 	// Wait blocks the response until the job finishes (bounded by the
@@ -456,6 +469,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Schemes) == 0 || len(req.Workloads) == 0 {
 		writeError(w, http.StatusBadRequest, 0, "schemes and workloads must both be non-empty")
+		return
+	}
+	if err := checkSolver(req.Solver); err != nil {
+		writeError(w, http.StatusBadRequest, 0, "%v", err)
 		return
 	}
 	for _, sc := range req.Schemes {

@@ -41,16 +41,11 @@ func (b *stubBackend) Validate(scheme, workload, solver string) error {
 	if scheme == "nope" || workload == "nope" {
 		return fmt.Errorf("unknown name %q", "nope")
 	}
-	switch solver {
-	case "", "exact", "batched", "surrogate":
-		return nil
-	}
-	return fmt.Errorf("unknown solver %q", solver)
+	return nil
 }
 
 func (b *stubBackend) Digest(pairs []experiments.SimPair, solver string) (string, error) {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00", solver)
 	for _, p := range pairs {
 		fmt.Fprintf(h, "%s\x00%s\x00", p.Scheme, p.Workload)
 	}
@@ -186,25 +181,21 @@ func TestSolveOK(t *testing.T) {
 	}
 }
 
-// TestSolverField: the optional solver request field flows through
-// validation (400 on an unknown mode) and into the sweep digest, so the
-// same grid under different solvers never dedups onto one job.
+// TestSolverField: exact pricing is the only mode left. The optional
+// solver field accepts "" and "exact" on both endpoints; every other
+// value — the removed batched and surrogate modes included — is a 400
+// naming the removal, rejected before the backend sees the request.
 func TestSolverField(t *testing.T) {
 	b := &stubBackend{}
 	s := startTestServer(t, b, nil)
 	solveURL := "http://" + s.Addr() + "/v1/solve"
-	if resp, body := postJSON(t, solveURL, "",
-		map[string]any{"scheme": "A", "workload": "w", "solver": "batched"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("solver=batched: status = %d, body %s", resp.StatusCode, body)
-	}
-	if resp, body := postJSON(t, solveURL, "",
-		map[string]any{"scheme": "A", "workload": "w", "solver": "magic"}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("solver=magic: status = %d, body %s", resp.StatusCode, body)
-	}
-
 	sweepURL := "http://" + s.Addr() + "/v1/sweep"
 	digests := map[string]bool{}
-	for _, solver := range []string{"", "surrogate"} {
+	for _, solver := range []string{"", "exact"} {
+		if resp, body := postJSON(t, solveURL, "",
+			map[string]any{"scheme": "A", "workload": "w", "solver": solver}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve solver=%q: status = %d, body %s", solver, resp.StatusCode, body)
+		}
 		resp, body := postJSON(t, sweepURL, "", map[string]any{
 			"schemes": []string{"A"}, "workloads": []string{"w"}, "solver": solver, "wait": true,
 		})
@@ -219,11 +210,26 @@ func TestSolverField(t *testing.T) {
 		}
 		digests[doc.Digest] = true
 	}
-	if len(digests) != 2 {
-		t.Errorf("solver modes share a sweep digest: %v", digests)
+	if len(digests) != 1 {
+		t.Errorf(`"" and "exact" are the same question but got digests %v`, digests)
 	}
-	if got := b.sweeps.Load(); got != 2 {
-		t.Errorf("sweeps = %d, want 2 (one per solver mode)", got)
+
+	solves, sweeps := b.solves.Load(), b.sweeps.Load()
+	for _, solver := range []string{"batched", "surrogate", "magic"} {
+		resp, body := postJSON(t, solveURL, "",
+			map[string]any{"scheme": "A", "workload": "w", "solver": solver})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "removed") {
+			t.Errorf("solve solver=%q: status = %d, body %s; want 400 naming the removal", solver, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, sweepURL, "", map[string]any{
+			"schemes": []string{"A"}, "workloads": []string{"w"}, "solver": solver, "wait": true,
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "removed") {
+			t.Errorf("sweep solver=%q: status = %d, body %s; want 400 naming the removal", solver, resp.StatusCode, body)
+		}
+	}
+	if b.solves.Load() != solves || b.sweeps.Load() != sweeps {
+		t.Error("a rejected solver mode reached the backend")
 	}
 }
 

@@ -26,6 +26,11 @@ func startServer(t *testing.T, opts Options) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// The client may hold a dialed connection that never carried a
+		// request (it lost a race to a freed idle one). The server sees
+		// it as new, not idle, and Shutdown waits 5s before closing such
+		// connections, so close the client's idle pool first.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {

@@ -27,8 +27,7 @@ type Array struct {
 	// calls. Never mutated after New.
 	protoLoads []*device.Tabulated
 
-	ctxs      sync.Pool // *solveCtx
-	batchCtxs sync.Pool // *batchCtx (lazy: Get may return nil)
+	ctxs sync.Pool // *solveCtx
 }
 
 // New builds an Array from cfg. It returns an error rather than panicking
