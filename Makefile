@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve test-dist test-chaos vuln staticcheck bench bench-guard bench-json
+.PHONY: ci fmt vet build test race race-fault race-par test-resume test-telemetry test-serve test-dist test-chaos vuln staticcheck bench bench-guard bench-json ident
 
 ci: fmt vet build test race-fault race-par test-resume test-telemetry test-serve test-dist test-chaos bench-guard vuln staticcheck
 
@@ -104,11 +104,13 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The allocation guards: steady-state SimulateResetInto, disabled spans
-# and the disabled chaos plane must all stay at 0 allocs/op (the
-# benchmarks themselves fail otherwise), run briefly as part of ci.
+# The allocation guards: steady-state SimulateResetInto, one ladder
+# sweep, disabled spans and the disabled chaos plane must all stay at 0
+# allocs/op (the benchmarks themselves fail otherwise), run briefly as
+# part of ci.
 bench-guard:
 	$(GO) test -run xxx -bench 'BenchmarkResetOpSteadyState|BenchmarkSpanDisabled|BenchmarkChaosDisabled' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkLadderSweep' -benchtime 100x -benchmem ./internal/xpoint/
 
 # Machine-readable micro-benchmark snapshot for the perf trajectory:
 # the PR4 solver/cost baselines (steady-state ResetOp regressions show
@@ -117,10 +119,20 @@ bench-guard:
 # round trip through admission + deadline setup), the PR9 sweep
 # backends (serial vs parallel-4/8 vs a standing distributed-4 fleet —
 # the fleet must beat the serial cold-start wall clock), and the PR10
-# chaos plane (the disabled path must stay at 0 allocs/op).
+# chaos plane (the disabled path must stay at 0 allocs/op), plus the
+# ladder sweep's ns/node.
 bench-json:
 	{ $(GO) test -run xxx -bench 'BenchmarkResetOp1Bit|BenchmarkResetOp4Bit|BenchmarkResetOpSteadyState|BenchmarkCostWriteMemoized|BenchmarkSweepParallel|BenchmarkSpanDisabled|BenchmarkSpanEnabled|BenchmarkMetricsScrape|BenchmarkChaosDisabled' \
 		-benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkLadderSweep' -benchmem ./internal/xpoint/ ; \
 	  $(GO) test -run xxx -bench 'BenchmarkServedSolve' -benchtime 500x -benchmem ./internal/serve/ ; } \
 		| $(GO) run ./cmd/bench2json > BENCH_PR10.json
 	@echo "wrote BENCH_PR10.json"
+
+# Byte-identity proof for performance changes (not part of ci): builds
+# reramsim from the working tree and from REF (default: the merge base
+# with main) and cmps the cold-sweep grid JSON at -jobs 1 and 2 and a
+# 20000-access run on a solve cache the REF binary warmed.
+REF ?=
+ident:
+	bash scripts/ident.sh $(REF)

@@ -28,9 +28,10 @@ import (
 	"reramsim/internal/telemetry"
 )
 
-// cleanup tears the observability stack down before the process exits;
-// os.Exit skips deferred calls, so every exit path routes through it
-// (it is idempotent). Installed in main once the stack is up.
+// cleanup persists pending solve-cache memos and tears the observability
+// stack down before the process exits; os.Exit skips deferred calls, so
+// every exit path routes through it (it is idempotent). Installed in
+// main once the stack is up.
 var cleanup = func() {}
 
 func main() {
@@ -79,6 +80,7 @@ func main() {
 		fail(err)
 	}
 	cleanup = func() {
+		core.FlushSolveCache()
 		if err := stack.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 		}

@@ -94,6 +94,7 @@ func main() {
 	if err := w.Error(); err != nil {
 		fail(err)
 	}
+	core.FlushSolveCache()
 }
 
 func fail(err error) {

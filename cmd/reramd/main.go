@@ -90,6 +90,7 @@ func run() int {
 			return fail(fmt.Errorf("-solve-cache: %w", err))
 		}
 		core.SetSolveCache(sc)
+		defer core.FlushSolveCache()
 	}
 	stack, err := telemetry.StartStack(telemetry.StackOptions{Addr: *obsAddr, TraceSpans: *traceSpans})
 	if err != nil {

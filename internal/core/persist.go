@@ -119,8 +119,9 @@ func cachedLevels(c *solvecache.Cache, optDigest string, sections, muxes int) (*
 const memoEntrySize = 4 + 4*8 + 1
 
 // encodeMemo dumps the scheme's memo table sorted by key, so identical
-// tables encode to identical bytes regardless of insertion order.
-func (s *Scheme) encodeMemo() []byte {
+// tables encode to identical bytes regardless of insertion order, and
+// returns the dump with its entry count.
+func (s *Scheme) encodeMemo() ([]byte, int) {
 	type entry struct {
 		k opKey
 		c opCost
@@ -161,7 +162,7 @@ func (s *Scheme) encodeMemo() []byte {
 		}
 		buf = append(buf, failed)
 	}
-	return buf
+	return buf, len(entries)
 }
 
 // preloadMemo seeds the memo shards from an encoded dump. Malformed
@@ -195,14 +196,82 @@ func (s *Scheme) preloadMemo(b []byte) {
 	}
 }
 
-// flushMemo persists the current memo table. Serialised by flushMu so
-// concurrent cold misses do not interleave temp files; each flush is a
-// full sorted dump, so the last writer always leaves a complete table.
-func (s *Scheme) flushMemo() {
+// memoFlushDiv sets the coalescing of memo rewrites: a scheme rewrites
+// its dump once the memo has grown by 1/memoFlushDiv of the last dump's
+// size (and at least one entry). Each rewrite is a full sorted dump, so
+// flushing on every new entry writes bytes quadratic in the memo size;
+// geometric spacing keeps the total linear (at most about
+// memoFlushDiv+1 times the final dump).
+const memoFlushDiv = 4
+
+// pendingMemo holds the schemes whose memo has entries no dump holds
+// yet, so FlushSolveCache can persist them and a new scheme on the same
+// memo key can load them. It is process-wide, like the cache handle.
+var (
+	pendingMu   sync.Mutex
+	pendingMemo = map[*Scheme]struct{}{}
+)
+
+// noteMemoEntry records one new memo entry (already stored) and
+// rewrites the dump when the memo has outgrown the last one by the
+// coalescing fraction; otherwise the scheme joins the pending set.
+func (s *Scheme) noteMemoEntry() {
+	if s.cache == nil {
+		return
+	}
+	n := s.memoLen.Add(1)
+	if last := s.memoFlushed.Load(); n-last >= max(1, last/memoFlushDiv) {
+		s.FlushMemo()
+		return
+	}
+	pendingMu.Lock()
+	pendingMemo[s] = struct{}{}
+	pendingMu.Unlock()
+}
+
+// FlushMemo persists the scheme's memo table if it holds entries the
+// last dump does not; it is a no-op without a solve cache. Serialised by
+// flushMu so concurrent flushes do not interleave temp files; each flush
+// is a full sorted dump, so the last writer always leaves a complete
+// table. Simulations call it when they complete.
+func (s *Scheme) FlushMemo() {
 	if s.cache == nil {
 		return
 	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	s.cache.Put(s.memoKey, s.encodeMemo())
+	if s.memoLen.Load() > s.memoFlushed.Load() {
+		buf, n := s.encodeMemo()
+		s.cache.Put(s.memoKey, buf)
+		s.memoFlushed.Store(int64(n))
+	}
+	// memoLen is bumped before a scheme joins the pending set, so an
+	// entry added after this check re-adds it.
+	pendingMu.Lock()
+	if s.memoLen.Load() <= s.memoFlushed.Load() {
+		delete(pendingMemo, s)
+	}
+	pendingMu.Unlock()
+}
+
+// FlushSolveCache persists every scheme memo in the process that holds
+// entries not yet written to the solve cache. The CLIs call it before
+// they exit.
+func FlushSolveCache() { flushPending("") }
+
+// flushPending flushes the pending schemes whose memo key is key (every
+// pending scheme when key is empty). NewScheme calls it on the key it is
+// about to load, so it sees every entry solved in-process.
+func flushPending(key string) {
+	pendingMu.Lock()
+	var list []*Scheme
+	for s := range pendingMemo {
+		if key == "" || s.memoKey == key {
+			list = append(list, s)
+		}
+	}
+	pendingMu.Unlock()
+	for _, s := range list {
+		s.FlushMemo()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"reramsim/internal/obs"
@@ -227,5 +228,124 @@ func TestSchemeCacheEscalation(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("escalated cost from warm cache differs:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestMemoFlushCoalesced: a cold scheme rewrites its memo dump only each
+// time the table has grown by 1/memoFlushDiv, the remainder waits in the
+// pending set until FlushSolveCache (or a simulation's FlushMemo)
+// persists it, and a scheme built afterwards loads the complete table
+// and prices without a miss.
+func TestMemoFlushCoalesced(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	sc, err := solvecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetSolveCache(sc)
+	defer SetSolveCache(nil)
+	opt := persistOptions()
+	opt.ExactMasks = true // every distinct mask is its own entry: a bigger memo
+	cold, err := NewScheme("cold", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := obs.Capture(func() { priceGrid(t, cold) })
+	n := cold.MemoSize()
+	wantFlushes, last := 0, 0
+	for k := 1; k <= n; k++ {
+		if k-last >= max(1, last/memoFlushDiv) {
+			wantFlushes++
+			last = k
+		}
+	}
+	if got := delta.Counters["solvecache.writes"]; got != uint64(wantFlushes) {
+		t.Errorf("cold pricing of %d entries wrote the memo %d times, want %d", n, got, wantFlushes)
+	}
+	if wantFlushes >= n {
+		t.Fatalf("grid too small to show coalescing: %d entries, %d flushes", n, wantFlushes)
+	}
+	if last == n {
+		t.Fatalf("grid ends on a flush point (%d entries); nothing left pending", n)
+	}
+
+	delta = obs.Capture(FlushSolveCache)
+	if got := delta.Counters["solvecache.writes"]; got != 1 {
+		t.Errorf("FlushSolveCache wrote %d times, want 1 (the pending tail)", got)
+	}
+	delta = obs.Capture(func() { FlushSolveCache(); cold.FlushMemo() })
+	if got := delta.Counters["solvecache.writes"]; got != 0 {
+		t.Errorf("flushing a persisted memo wrote %d times, want 0", got)
+	}
+
+	warm, err := NewScheme("warm", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.MemoSize(); got != n {
+		t.Fatalf("warm scheme loaded %d entries, want %d", got, n)
+	}
+	delta = obs.Capture(func() { priceGrid(t, warm); warm.FlushMemo() })
+	if got := delta.Counters["core.memo.misses"]; got != 0 {
+		t.Errorf("warm pricing missed the memo %d times, want 0", got)
+	}
+	if got := delta.Counters["solvecache.writes"]; got != 0 {
+		t.Errorf("warm pricing wrote the cache %d times, want 0", got)
+	}
+}
+
+// TestMemoFlushConcurrent prices a cold grid from several goroutines at
+// once, racing new entries against threshold flushes and explicit
+// FlushMemo/FlushSolveCache calls; once they finish, one more flush must
+// leave the complete table on disk and nothing pending.
+func TestMemoFlushConcurrent(t *testing.T) {
+	sc, err := solvecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetSolveCache(sc)
+	defer SetSolveCache(nil)
+	opt := persistOptions()
+	opt.ExactMasks = true
+	cold, err := NewScheme("cold", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for mask := 1; mask < 256; mask += 1 + g {
+				var lw write.LineWrite
+				lw.Arrays[0] = write.ArrayWrite{Reset: uint8(mask)}
+				if _, err := cold.CostWrite(cold.Array().Config().Size-1-g, 0, lw); err != nil {
+					t.Error(err)
+					return
+				}
+				if mask%17 == 0 {
+					cold.FlushMemo()
+				}
+				if mask%29 == 0 {
+					FlushSolveCache()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	FlushSolveCache()
+	pendingMu.Lock()
+	_, pending := pendingMemo[cold]
+	pendingMu.Unlock()
+	if pending {
+		t.Error("scheme still pending after FlushSolveCache")
+	}
+	warm, err := NewScheme("warm", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := warm.MemoSize(), cold.MemoSize(); got != want {
+		t.Errorf("warm scheme loaded %d entries, cold memo holds %d", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"reramsim/internal/chargepump"
 	"reramsim/internal/obs"
@@ -64,6 +65,12 @@ type Scheme struct {
 
 	levels *LevelTable
 
+	// Array and device scalars the pricing path reads on every write,
+	// copied out of the array config once: Array().Config() returns the
+	// whole struct, device parameters included, by value.
+	size, muxW           int
+	vwriteMin, ion, tset float64
+
 	// The RESET cost memo is the hot shared structure when simulations
 	// fan out: every write prices its ops here. Sharding the table by key
 	// hash keeps concurrent lookups of different ops off one another's
@@ -73,10 +80,14 @@ type Scheme struct {
 
 	// Persistent solve cache (nil when disabled). Captured from the
 	// process-wide handle at construction; memoKey addresses this
-	// scheme's memo dump and flushMu serialises its rewrites.
-	cache   *solvecache.Cache
-	memoKey string
-	flushMu sync.Mutex
+	// scheme's memo dump and flushMu serialises its rewrites. memoLen
+	// counts the memo's entries and memoFlushed those in the last dump
+	// written or loaded (see noteMemoEntry).
+	cache       *solvecache.Cache
+	memoKey     string
+	flushMu     sync.Mutex
+	memoLen     atomic.Int64
+	memoFlushed atomic.Int64
 }
 
 // memoShards is the number of independent memo partitions (power of two).
@@ -212,11 +223,16 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 	}
 
 	s := &Scheme{
-		name:   name,
-		opt:    opt,
-		arr:    arr,
-		pump:   pump,
-		levels: levels,
+		name:      name,
+		opt:       opt,
+		arr:       arr,
+		pump:      pump,
+		levels:    levels,
+		size:      cfg.Size,
+		muxW:      cfg.MuxWidth(),
+		vwriteMin: cfg.Params.VwriteMin,
+		ion:       cfg.Params.Ion,
+		tset:      cfg.Params.Tset,
 	}
 	for i := range s.memo {
 		s.memo[i].m = make(map[opKey]opCost)
@@ -228,8 +244,12 @@ func NewScheme(name string, opt Options) (*Scheme, error) {
 		// here, so a repeat sweep prices every op without touching the
 		// array solver.
 		s.memoKey = "memo-" + memoDigest(optDigest, levels)
+		flushPending(s.memoKey)
 		if payload, ok := cache.Get(s.memoKey); ok {
 			s.preloadMemo(payload)
+			n := int64(s.MemoSize())
+			s.memoLen.Store(n)
+			s.memoFlushed.Store(n)
 		}
 	}
 	return s, nil
@@ -271,7 +291,7 @@ func (s *Scheme) RemapRow(row int) int {
 	if !s.opt.SCH {
 		return row
 	}
-	return row % (s.arr.Config().Size / 4)
+	return row % (s.size / 4)
 }
 
 // LineCost is the memory-side cost of one 64 B line write under a scheme.
@@ -308,7 +328,7 @@ func (c LineCost) CellsWritten() int { return c.Resets + c.Sets }
 // offset. The row should already reflect inter-line wear leveling; SCH's
 // remapping is applied internally.
 func (s *Scheme) CostWrite(row, offset int, lw write.LineWrite) (LineCost, error) {
-	return s.costWrite(row, offset, lw, 0)
+	return s.costWrite(row, offset, &lw, 0)
 }
 
 // CostWriteRetry prices a write-verify retry of the same line write with
@@ -325,27 +345,27 @@ func (s *Scheme) CostWriteRetry(row, offset int, lw write.LineWrite, escalation 
 	if escalation > 255 {
 		escalation = 255
 	}
-	return s.costWrite(row, offset, lw, uint8(escalation))
+	return s.costWrite(row, offset, &lw, uint8(escalation))
 }
 
-func (s *Scheme) costWrite(row, offset int, lw write.LineWrite, esc uint8) (LineCost, error) {
-	cfg := s.arr.Config()
+func (s *Scheme) costWrite(row, offset int, lw *write.LineWrite, esc uint8) (LineCost, error) {
 	row = s.RemapRow(row)
-	if row < 0 || row >= cfg.Size {
+	if row < 0 || row >= s.size {
 		return LineCost{}, fmt.Errorf("core: row %d outside array", row)
 	}
-	if offset < 0 || offset >= cfg.MuxWidth() {
-		return LineCost{}, fmt.Errorf("core: offset %d outside mux width %d", offset, cfg.MuxWidth())
+	if offset < 0 || offset >= s.muxW {
+		return LineCost{}, fmt.Errorf("core: offset %d outside mux width %d", offset, s.muxW)
 	}
-	section := s.levels.SectionOf(row, cfg.Size)
-	offB := offset * offsetBuckets / cfg.MuxWidth()
+	section := s.levels.SectionOf(row, s.size)
+	offB := offset * offsetBuckets / s.muxW
 	instrumented := obs.Enabled()
 
 	var out LineCost
 	out.Section = section
 	out.MinMargin = math.Inf(1)
 	var maxResetLat float64
-	for _, aw := range lw.Arrays {
+	for i := range lw.Arrays {
+		aw := lw.Arrays[i]
 		pre := aw
 		if s.opt.PR {
 			aw = write.PartitionReset(aw)
@@ -380,7 +400,7 @@ func (s *Scheme) costWrite(row, offset int, lw write.LineWrite, esc uint8) (Line
 		if c.latency > maxResetLat {
 			maxResetLat = c.latency
 		}
-		if m := c.vmin - cfg.Params.VwriteMin; m < out.MinMargin {
+		if m := c.vmin - s.vwriteMin; m < out.MinMargin {
 			out.MinMargin = m
 		}
 		out.Energy += c.energy
@@ -389,9 +409,8 @@ func (s *Scheme) costWrite(row, offset int, lw write.LineWrite, esc uint8) (Line
 		}
 	}
 
-	p := cfg.Params
 	totalResets := out.Resets + out.DummyResets
-	resetRounds := s.pump.Rounds(totalResets, p.Ion)
+	resetRounds := s.pump.Rounds(totalResets, s.ion)
 	setRounds := s.pump.Rounds(out.Sets, setCurrent)
 	out.PumpRounds = resetRounds + setRounds
 
@@ -399,7 +418,7 @@ func (s *Scheme) costWrite(row, offset int, lw write.LineWrite, esc uint8) (Line
 		out.ResetLatency = maxResetLat*float64(resetRounds) + s.pump.PhaseOverheadLatency(resetRounds)
 	}
 	if out.Sets > 0 {
-		out.SetLatency = p.Tset*float64(setRounds) + s.pump.PhaseOverheadLatency(setRounds)
+		out.SetLatency = s.tset*float64(setRounds) + s.pump.PhaseOverheadLatency(setRounds)
 		out.Energy += float64(out.Sets) * setEnergyPerBit
 	}
 	// Convert delivered (cell-side) energy through the pump and add the
@@ -421,8 +440,8 @@ const (
 // opCost returns the memoized cost of one array RESET operation.
 // Concurrent cold misses of the same key collapse onto one solve via the
 // shard's singleflight; with a persistent cache installed, each newly
-// solved entry triggers a full (sorted, atomic) memo flush so the next
-// process starts warm.
+// solved entry is handed to noteMemoEntry, which rewrites the memo dump
+// once the table has grown enough since the last one.
 func (s *Scheme) opCost(k opKey) (opCost, error) {
 	if !s.opt.ExactMasks {
 		k.mask = canonicalMask(k.mask)
@@ -452,7 +471,7 @@ func (s *Scheme) opCost(k opKey) (opCost, error) {
 		sh.mu.Lock()
 		sh.m[k] = c
 		sh.mu.Unlock()
-		s.flushMemo()
+		s.noteMemoEntry()
 		return c, nil
 	})
 	if err != nil {
@@ -482,12 +501,11 @@ func canonicalMask(m uint8) uint8 {
 // solveOp runs the array model for the representative operation of key k.
 func (s *Scheme) solveOp(k opKey) (opCost, error) {
 	defer obs.SpanScope("core.solve_op")()
-	cfg := s.arr.Config()
-	muxW := cfg.MuxWidth()
+	cfg := s.arr.Config() // once per cold solve, not per priced write
 	// Representative (pessimistic) row and offset of the bucket.
 	sections := s.levels.Sections
-	row := int(k.section)*cfg.Size/sections + cfg.Size/sections - 1
-	offset := (int(k.offB)+1)*muxW/offsetBuckets - 1
+	row := int(k.section)*s.size/sections + s.size/sections - 1
+	offset := (int(k.offB)+1)*s.muxW/offsetBuckets - 1
 
 	var cols []int
 	var volts []float64

@@ -209,6 +209,14 @@ func (t *Tabulated) Current(v float64) float64 {
 	return cur
 }
 
+// Table returns the lookup table for callers that evaluate it inline in
+// a hot loop: the current samples (read-only), the sample step, VMax and
+// the small-signal conductance at 0. Interpolating samples exactly as
+// Current does reproduces Current bit for bit.
+func (t *Tabulated) Table() (samples []float64, step, vmax, g0 float64) {
+	return t.i, t.step, t.VMax, t.g0
+}
+
 // Conductance implements Device using the local table slope.
 func (t *Tabulated) Conductance(v float64) float64 {
 	if v < 0 {

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -70,23 +69,55 @@ type event struct {
 	bank int
 }
 
+// eventHeap is a binary min-heap of events ordered by (t, seq). seq is
+// unique, so the order is strict and total: every correct heap pops the
+// same sequence, and this typed one does it without boxing each event
+// into an interface the way container/heap does.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h eventHeap) Peek() (event, bool) { // read-only helper
-	if len(h) == 0 {
-		return event{}, false
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for j := len(q) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !q.less(j, p) {
+			break
+		}
+		q[p], q[j] = q[j], q[p]
+		j = p
 	}
-	return h[0], true
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
 }
 
 type readReq struct {
@@ -144,6 +175,10 @@ type sim struct {
 	bankFreeAt []float64
 	pumpFreeAt []float64
 
+	// Array geometry the line mapping reads on every access, copied out
+	// of the scheme's array config once.
+	rows, muxW uint64
+
 	// Observability state: per-bank issue counters (nil when disabled)
 	// and the per-rank pump level trackers.
 	bankOps   []*obs.Counter
@@ -178,9 +213,12 @@ func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error
 		return nil, err
 	}
 
+	arr := s.Array().Config()
 	sm := &sim{
 		cfg:        cfg,
 		scheme:     s,
+		rows:       uint64(arr.Size),
+		muxW:       uint64(arr.MuxWidth()),
 		cores:      make([]coreState, cfg.Cores),
 		bankFreeAt: make([]float64, cfg.Banks()),
 		pumpFreeAt: make([]float64, cfg.Ranks),
@@ -226,13 +264,16 @@ func Simulate(s *core.Scheme, bench trace.Benchmark, cfg Config) (*Result, error
 		return nil, err
 	}
 	sm.finalize()
+	// Persist the solves this run added to the scheme's cost memo (a
+	// no-op without a solve cache or when nothing new was priced).
+	s.FlushMemo()
 	return &sm.res, nil
 }
 
 func (s *sim) push(e event) {
 	s.seq++
 	e.seq = s.seq
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // scheduleNextAccess generates core i's next access and schedules its
@@ -275,9 +316,7 @@ func (s *sim) mapLine(line uint64, isWrite bool) (bank, rank, row, offset int, p
 		}
 	}
 	nb := uint64(s.cfg.Banks())
-	arr := s.scheme.Array().Config()
-	size := uint64(arr.Size)
-	muxW := uint64(arr.MuxWidth())
+	size, muxW := s.rows, s.muxW
 
 	bank = int(phys % nb)
 	rank = bank / s.cfg.BanksPerRank
@@ -299,11 +338,11 @@ const heartbeatEvery = 4096
 
 func (s *sim) run() error {
 	var processed int
-	for s.events.Len() > 0 {
+	for len(s.events) > 0 {
 		if processed++; processed%heartbeatEvery == 0 && s.cfg.Heartbeat != nil {
 			s.cfg.Heartbeat()
 		}
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		if e.t > s.endTime {
 			s.endTime = e.t
 		}
@@ -327,15 +366,14 @@ func (s *sim) run() error {
 // onCoreAccess dispatches core i's pending access into the controller.
 func (s *sim) onCoreAccess(now float64, i int) error {
 	c := &s.cores[i]
-	a := c.pending
 	if c.hier != nil {
-		return s.dispatchCached(now, i, a)
+		return s.dispatchCached(now, i, c.pending)
 	}
-	if a.Kind == trace.Read {
-		s.issueCoreRead(now, i, a.Line)
+	if c.pending.Kind == trace.Read {
+		s.issueCoreRead(now, i, c.pending.Line)
 		return nil
 	}
-	return s.submitWrite(now, i, a)
+	return s.submitWrite(now, i, &c.pending)
 }
 
 // issueCoreRead sends a demand read into the controller and lets the core
@@ -374,7 +412,7 @@ func (s *sim) dispatchCached(now float64, i int, a trace.Access) error {
 		if m.IsWrite {
 			wa := a
 			wa.Line = m.Line
-			if err := s.submitWrite(t, i, wa); err != nil {
+			if err := s.submitWrite(t, i, &wa); err != nil {
 				return err
 			}
 		} else {
@@ -404,7 +442,9 @@ func (s *sim) submitRead(now float64, i int, line uint64) bool {
 	return true
 }
 
-func (s *sim) submitWrite(now float64, i int, a trace.Access) error {
+// submitWrite prices write access a and queues it. a may point at the
+// core's pending access: it is read only before the core advances.
+func (s *sim) submitWrite(now float64, i int, a *trace.Access) error {
 	defer obs.Time("memsys.line_write")()
 	lw, _, err := write.FlipNWrite(a.Old[:], a.New[:])
 	if err != nil {
@@ -496,7 +536,9 @@ func (s *sim) issueReads(now float64) bool {
 func (s *sim) issueWrites(now float64) (bool, error) {
 	issued := false
 	for qi := 0; qi < len(s.writeQ); {
-		req := s.writeQ[qi]
+		// By pointer: a writeReq is hundreds of bytes and most scans skip
+		// it. Every field is read before the entry leaves the queue.
+		req := &s.writeQ[qi]
 		if s.bankFreeAt[req.bank] > now || s.pumpFreeAt[req.rank] > now {
 			qi++
 			continue
@@ -506,7 +548,7 @@ func (s *sim) issueWrites(now float64) (bool, error) {
 		cells := req.cost.CellsWritten() + req.cost.DummyResets
 		if s.inj != nil {
 			var err error
-			busy, energyJ, cells, err = s.writeWithVerify(&req)
+			busy, energyJ, cells, err = s.writeWithVerify(req)
 			if err != nil {
 				return false, err
 			}

@@ -12,9 +12,8 @@ import (
 // the bit-line and word-line models.
 //
 // Loads are concrete *device.Tabulated (every device the array solvers
-// attach is table-backed): the hot sweep calls the table lookup directly
-// instead of dispatching through the Device interface, which is worth
-// ~15% of the solve on the default 512-node ladders.
+// attach is table-backed): the hot sweep reads the table directly instead
+// of dispatching through the Device interface.
 type ladder struct {
 	n  int
 	gw float64
@@ -122,16 +121,55 @@ func (l *ladder) init(v float64) {
 // single pass up the ladder with no intermediate coefficient arrays.
 // Every floating-point operation matches the unfused assemble-then-solve
 // formulation value for value, so results are bit-identical to it.
+//
+// The load's secant conductance Current(x)/x is evaluated inline from
+// the device table, fetched once per run of nodes sharing a device (a
+// bit-line carries one device everywhere but the selected row). The
+// inline form interpolates at |x| and divides by |x|: IEEE division is
+// sign-symmetric, so cur/|x| equals Current(x)/x = (-cur)/x bit for bit.
+// DESIGN.md §10 lists the operation-order rules this keeps.
 func (l *ladder) sweep(relax float64) float64 {
 	n, gw := l.n, l.gw
+	srcG, srcV := l.srcG[:n], l.srcV[:n]
+	loads, loadU := l.loads[:n], l.loadU[:n]
+	v, cp, dp := l.v[:n], l.cp[:n], l.dp[:n]
+
+	var (
+		dev                  *device.Tabulated
+		tab                  []float64
+		step, tmax, g0, last float64
+		slope                float64
+	)
 	var cprev, dprev float64
 	for i := 0; i < n; i++ {
-		diag := l.srcG[i]
-		rhs := l.srcG[i] * l.srcV[i]
-		if dev := l.loads[i]; dev != nil {
-			g := dev.SecantConductance(l.v[i] - l.loadU[i])
+		diag := srcG[i]
+		rhs := srcG[i] * srcV[i]
+		if d := loads[i]; d != nil {
+			if d != dev {
+				dev = d
+				tab, step, tmax, g0 = d.Table()
+				// Current's extrapolation slope: same operands, same bits.
+				k := len(tab) - 1
+				last = tab[k]
+				slope = (last - tab[k-1]) / step
+			}
+			u := loadU[i]
+			g := g0
+			if x := v[i] - u; x != 0 {
+				ax := math.Abs(x)
+				var cur float64
+				if ax >= tmax {
+					cur = last + slope*(ax-tmax)
+				} else {
+					pos := ax / step
+					k := int(pos)
+					frac := pos - float64(k)
+					cur = tab[k] + (tab[k+1]-tab[k])*frac
+				}
+				g = cur / ax
+			}
 			diag += g
-			rhs += g * l.loadU[i]
+			rhs += g * u
 		}
 		ai, ci := 0.0, 0.0
 		if i > 0 {
@@ -148,27 +186,29 @@ func (l *ladder) sweep(relax float64) float64 {
 		m := diag - ai*cprev
 		cprev = ci / m
 		dprev = (rhs - ai*dprev) / m
-		l.cp[i] = cprev
-		l.dp[i] = dprev
+		cp[i] = cprev
+		dp[i] = dprev
 	}
 	res := 0.0
 	xnext := 0.0
+	vmin, vmax := l.vmin, l.vmax
 	for i := n - 1; i >= 0; i-- {
-		x := l.dp[i]
+		x := dp[i]
 		if i < n-1 {
-			x -= l.cp[i] * xnext
+			x -= cp[i] * xnext
 		}
 		xnext = x
-		nv := l.v[i] + relax*(x-l.v[i])
-		if nv < l.vmin {
-			nv = l.vmin
-		} else if nv > l.vmax {
-			nv = l.vmax
+		vi := v[i]
+		nv := vi + relax*(x-vi)
+		if nv < vmin {
+			nv = vmin
+		} else if nv > vmax {
+			nv = vmax
 		}
-		if dv := math.Abs(nv - l.v[i]); dv > res {
+		if dv := math.Abs(nv - vi); dv > res {
 			res = dv
 		}
-		l.v[i] = nv
+		v[i] = nv
 	}
 	return res
 }
